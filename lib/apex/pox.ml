@@ -13,15 +13,32 @@ type report = {
   token : string;
 }
 
-let le16 v = Printf.sprintf "%c%c" (Char.chr (v land 0xFF)) (Char.chr ((v lsr 8) land 0xFF))
-
+(* The token covers challenge ‖ header ‖ ER ‖ OR, where the 11-byte
+   header is the five layout words little-endian and the EXEC byte. *)
 let token_parts ~challenge ~er_min ~er_max ~er_exit ~or_min ~or_max ~exec
     ~er_bytes ~or_data =
-  [ challenge;
-    le16 er_min; le16 er_max; le16 er_exit; le16 or_min; le16 or_max;
-    (if exec then "\001" else "\000");
-    er_bytes;
-    or_data ]
+  let hdr = Bytes.create 11 in
+  Bytes.set_uint16_le hdr 0 (er_min land 0xFFFF);
+  Bytes.set_uint16_le hdr 2 (er_max land 0xFFFF);
+  Bytes.set_uint16_le hdr 4 (er_exit land 0xFFFF);
+  Bytes.set_uint16_le hdr 6 (or_min land 0xFFFF);
+  Bytes.set_uint16_le hdr 8 (or_max land 0xFFFF);
+  Bytes.set hdr 10 (if exec then '\001' else '\000');
+  [ challenge; Bytes.unsafe_to_string hdr; er_bytes; or_data ]
+
+(* Canonical log digest: "DMEMO1", the five layout words little-endian,
+   then the OR bytes, streamed without building the preimage. *)
+let log_digest r =
+  let module Sha = Dialed_crypto.Sha256 in
+  let hdr = Bytes.create 16 in
+  Bytes.blit_string "DMEMO1" 0 hdr 0 6;
+  Bytes.set_uint16_le hdr 6 (r.er_min land 0xFFFF);
+  Bytes.set_uint16_le hdr 8 (r.er_max land 0xFFFF);
+  Bytes.set_uint16_le hdr 10 (r.er_exit land 0xFFFF);
+  Bytes.set_uint16_le hdr 12 (r.or_min land 0xFFFF);
+  Bytes.set_uint16_le hdr 14 (r.or_max land 0xFFFF);
+  let ctx = Sha.update (Sha.init ()) (Bytes.unsafe_to_string hdr) in
+  Sha.finalize (Sha.update ctx r.or_data)
 
 let issue vrased mem ~exec layout ~challenge =
   let { Layout.er_min; er_max; er_exit; or_min; or_max; stack_top = _ } = layout in
@@ -44,7 +61,7 @@ let verify_with ~key_state ~expected_er r =
            ~er_exit:r.er_exit ~or_min:r.or_min ~or_max:r.or_max ~exec:r.exec
            ~er_bytes:expected_er ~or_data:r.or_data)
     in
-    if not (String.equal expected_token r.token) then
+    if not (Hmac.equal expected_token r.token) then
       Error "token mismatch: code, output or parameters were tampered with"
     else if not r.exec then
       Error "EXEC = 0: the operation did not complete untampered"

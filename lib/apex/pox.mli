@@ -35,5 +35,12 @@ val verify_with :
 (** {!verify} with a precomputed {!Dialed_crypto.Hmac.key_state} — the
     fleet path, which MACs thousands of reports under one device key. *)
 
+val log_digest : report -> string
+(** Canonical digest (raw SHA-256) of the report's log material: the
+    bytes ["DMEMO1"], the five layout words little-endian, then the OR
+    bytes. The challenge, EXEC byte and token are left out. This is the
+    one preimage behind [Dialed_core.Verifier.log_digest] and
+    {!Wire.decode_digested}. *)
+
 val accept_exec : report -> bool
 (** Just the EXEC bit (meaningful only after {!verify} succeeded). *)

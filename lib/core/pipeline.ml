@@ -117,6 +117,11 @@ let build ?(variant = Full) ?(dfa_config = Dfa.default_config)
   let er_min = Assemble.symbol image op_start_symbol in
   let er_max = Assemble.symbol image "__op_end" - 1 in
   if er_max < er_min then fail "empty operation";
+  (* the assembler lets a later .org overwrite earlier bytes: an ER that
+     runs past the caller shim would be silently clobbered by it *)
+  if er_max >= caller_base then
+    fail "operation reaches 0x%04x, colliding with the caller at 0x%04x"
+      er_max caller_base;
   (* the legal APEX exit: the last ret inside ER *)
   let er_exit =
     List.fold_left

@@ -51,8 +51,9 @@ val build :
   ?or_min:int -> ?or_max:int -> ?stack_top:int ->
   op:Dialed_msp430.Program.t ->
   unit -> built
-(** Raises {!Error} (or the passes' own errors) on contract violations.
-    [critical] lists the critical globals as [(symbol, size_bytes)]
+(** Raises {!Error} (or the passes' own errors) on contract violations,
+    among them an instrumented operation too large for the 6 KiB of ER
+    below the caller shim at 0xF800. [critical] lists the critical globals as [(symbol, size_bytes)]
     (from {!Dialed_minic.Minic.compiled}'s [criticals]); each symbol must
     resolve in the image. *)
 

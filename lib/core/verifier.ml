@@ -263,21 +263,7 @@ let plan_memo_ns p = p.plan_ns
    challenge, token and EXEC byte are deliberately excluded — they are
    per-session authenticity material handled by {!precheck}, while the
    replay verdict is a pure function of (plan, layout words, or_data). *)
-let log_digest (r : A.Pox.report) =
-  let module Sha = Dialed_crypto.Sha256 in
-  let b = Buffer.create (String.length r.A.Pox.or_data + 16) in
-  Buffer.add_string b "DMEMO1";
-  let le16 v =
-    Buffer.add_char b (Char.chr (v land 0xFF));
-    Buffer.add_char b (Char.chr ((v lsr 8) land 0xFF))
-  in
-  le16 r.A.Pox.er_min;
-  le16 r.A.Pox.er_max;
-  le16 r.A.Pox.er_exit;
-  le16 r.A.Pox.or_min;
-  le16 r.A.Pox.or_max;
-  Buffer.add_string b r.A.Pox.or_data;
-  Sha.digest (Buffer.contents b)
+let log_digest = A.Pox.log_digest
 
 type t = { t_plan : plan }
 

@@ -140,8 +140,8 @@ val log_digest : Dialed_apex.Pox.report -> string
     replay consumes: the five claimed layout words plus the OR bytes.
     The challenge, token, and EXEC byte are {e excluded} — they are
     per-session authenticity material checked by {!precheck}, never by
-    the replay. [Dialed_apex.Wire.decode_digested] computes the same
-    digest incrementally during wire decode. *)
+    the replay. This is [Dialed_apex.Pox.log_digest], which
+    [Dialed_apex.Wire.decode_digested] also computes during wire decode. *)
 
 val effective_audit_config :
   ?config:Dialed_staticcheck.Audit.config ->

@@ -35,15 +35,16 @@ let mac_parts ~key parts = mac_parts_with (key_state ~key) parts
 
 let mac ~key msg = mac_parts ~key [ msg ]
 
-let verify ~key ~msg ~tag =
-  let expected = mac ~key msg in
-  if String.length tag <> String.length expected then false
-  else begin
+let equal a b =
+  String.length a = String.length b
+  && begin
     let diff = ref 0 in
     String.iteri
-      (fun i c -> diff := !diff lor (Char.code c lxor Char.code expected.[i]))
-      tag;
+      (fun i c -> diff := !diff lor (Char.code c lxor Char.code (String.unsafe_get b i)))
+      a;
     !diff = 0
   end
+
+let verify ~key ~msg ~tag = equal (mac ~key msg) tag
 
 let hex = Sha256.hex

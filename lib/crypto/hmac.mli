@@ -30,5 +30,11 @@ val mac_parts_with : key_state -> string list -> string
 val verify : key:string -> msg:string -> tag:string -> bool
 (** Constant-time comparison of a received tag against the expected one. *)
 
+val equal : string -> string -> bool
+(** Tag comparison whose time depends only on the lengths: every byte
+    is examined even after the first difference, so a forger learns
+    nothing from how long a rejection took. Strings of different
+    lengths are unequal at once. *)
+
 val hex : string -> string
 (** Re-export of {!Sha256.hex}. *)

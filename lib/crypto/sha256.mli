@@ -1,12 +1,16 @@
 (** SHA-256 (FIPS 180-4), written from scratch.
 
     VRASED computes an HMAC-SHA256 over program memory inside its ROM
-    routine; this module is the hash that backs {!Hmac}. Pure OCaml, no
-    dependencies.
+    routine; this module is the hash that backs {!Hmac}. The block
+    compression is one portable C kernel ([dialed_sha256_stubs.c], no
+    intrinsics, no CPU dispatch); padding and buffering stay in OCaml.
+    {!update} hands every full 64-byte block of its input to the kernel
+    in a single call, so a long message runs without returning to OCaml
+    until its tail.
 
-    The streaming context is {e imperative}: it owns a preallocated
-    message schedule and partial-block buffer, and {!update} folds data
-    into the chaining state in place, returning the {e same} context (the
+    The streaming context is {e imperative}: it owns the chaining state
+    and a partial-block buffer, and {!update} folds data into the
+    chaining state in place, returning the {e same} context (the
     functional signature is kept so existing pipelines read naturally).
     Use a context linearly, or {!copy} it first to fork — e.g. the cached
     HMAC key states in {!Hmac.key_state}. {!finalize} does not consume
@@ -21,7 +25,7 @@ val update : ctx -> string -> ctx
 (** Absorb bytes. Mutates and returns [ctx] itself. *)
 
 val copy : ctx -> ctx
-(** Independent snapshot of the streaming state (fresh scratch buffers);
+(** Independent snapshot of the streaming state (fresh buffers);
     the clone and the original can diverge safely, even across domains. *)
 
 val finalize : ctx -> string

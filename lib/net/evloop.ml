@@ -196,8 +196,13 @@ let hook_source t cb =
           Atomic.set pending false;
           cb ())
 
+(* Empty the pipe first, then clear the flag. Cleared first, a [wake]
+   landing in between would set the flag and write a byte the read
+   below then swallows: the flag stays set over an empty pipe and every
+   later [wake] is dropped. In this order a [wake] before the clear
+   writes nothing, but its thunk is already queued and the next
+   iteration's [run_posted] picks it up. *)
 let drain_pipe t =
-  Atomic.set t.signalled false;
   let buf = Bytes.create 64 in
   let rec go () =
     match Unix.read t.pipe_r buf 0 64 with
@@ -205,7 +210,8 @@ let drain_pipe t =
     | _ -> ()
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
   in
-  go ()
+  go ();
+  Atomic.set t.signalled false
 
 let run_posted t =
   Mutex.lock t.posted_m;

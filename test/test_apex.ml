@@ -232,6 +232,27 @@ let test_wrong_key_rejected () =
    | Error _ -> ()
    | Ok () -> Alcotest.fail "wrong key must fail")
 
+let test_token_last_byte () =
+  (* the token check examines every byte: a token that differs only in
+     its last byte is rejected, and with the token-mismatch reason *)
+  let d = build () in
+  ignore (A.Device.run_operation ~args:[ 21 ] d);
+  let report = A.Device.attest d ~challenge:"n" in
+  let last = String.length report.A.Pox.token - 1 in
+  let token =
+    String.mapi
+      (fun i c -> if i = last then Char.chr (Char.code c lxor 1) else c)
+      report.A.Pox.token
+  in
+  (match verify d report with
+   | Ok () -> ()
+   | Error e -> Alcotest.failf "untouched report must pass, got: %s" e);
+  match verify d { report with A.Pox.token } with
+  | Error e ->
+    check_bool "rejected as a token mismatch" true
+      (String.length e >= 14 && String.sub e 0 14 = "token mismatch")
+  | Ok () -> Alcotest.fail "a token differing in its last byte must fail"
+
 let test_layout_validation () =
   let bad () =
     ignore
@@ -272,5 +293,6 @@ let suites =
        Alcotest.test_case "challenge freshness" `Quick test_challenge_freshness;
        Alcotest.test_case "forged OR data" `Quick test_forged_or_data;
        Alcotest.test_case "wrong key" `Quick test_wrong_key_rejected;
+       Alcotest.test_case "token differing in last byte" `Quick test_token_last_byte;
        Alcotest.test_case "layout validation" `Quick test_layout_validation;
        Alcotest.test_case "vrased measures memory" `Quick test_vrased_measures_actual_memory ]) ]

@@ -1,7 +1,9 @@
-(* SHA-256 / HMAC-SHA256 against FIPS and RFC 4231 test vectors, plus
-   incremental-update properties. *)
+(* SHA-256 / HMAC-SHA256 against FIPS and RFC 4231 test vectors,
+   incremental-update properties, and the C compression kernel against
+   the pure-OCaml reference in [Sha256_ref]. *)
 
 module Sha256 = Dialed_crypto.Sha256
+module Ref = Sha256_ref
 module Hmac = Dialed_crypto.Hmac
 
 let check_str = Alcotest.(check string)
@@ -91,6 +93,17 @@ let test_verify () =
   Alcotest.(check bool) "rejects wrong key" false
     (Hmac.verify ~key:"other" ~msg ~tag)
 
+let test_equal () =
+  let tag = Hmac.mac ~key:"k" "m" in
+  let last = String.length tag - 1 in
+  let flip_last =
+    String.mapi (fun i c -> if i = last then Char.chr (Char.code c lxor 0x80) else c) tag
+  in
+  Alcotest.(check bool) "equal to itself" true (Hmac.equal tag (String.sub tag 0 32));
+  Alcotest.(check bool) "last byte differs" false (Hmac.equal tag flip_last);
+  Alcotest.(check bool) "prefix is not equal" false (Hmac.equal tag (String.sub tag 0 31));
+  Alcotest.(check bool) "empty strings" true (Hmac.equal "" "")
+
 let test_copy_independence () =
   (* [update] mutates in place, so forks must be taken with [copy] — and
      a fork must never disturb its origin or siblings *)
@@ -125,6 +138,18 @@ let test_key_state () =
     (Hmac.hex (Hmac.mac ~key "second message"))
     (Hmac.hex (Hmac.mac_with ks "second message"))
 
+let stream chunks = Sha256.finalize (List.fold_left Sha256.update (Sha256.init ()) chunks)
+
+(* consecutive chunks of [s], cut at the (clamped, deduplicated) [cuts] *)
+let chunks_of s cuts =
+  let n = String.length s in
+  let cuts = List.sort_uniq compare (0 :: n :: List.map (fun c -> min c n) cuts) in
+  let rec go = function
+    | a :: (b :: _ as rest) -> String.sub s a (b - a) :: go rest
+    | _ -> []
+  in
+  go cuts
+
 let prop_incremental_equals_oneshot =
   QCheck.Test.make ~name:"incremental = one-shot" ~count:200
     QCheck.(pair (string_of_size (QCheck.Gen.int_range 0 300)) (int_range 0 300))
@@ -140,17 +165,7 @@ let prop_partition_equals_oneshot =
   QCheck.Test.make ~name:"random partition = one-shot" ~count:300
     QCheck.(pair (string_of_size (QCheck.Gen.int_range 0 400))
               (list_of_size (QCheck.Gen.int_range 0 12) (int_range 0 400)))
-    (fun (s, cuts) ->
-       let n = String.length s in
-       let cuts = List.sort_uniq compare (0 :: n :: List.map (fun c -> min c n) cuts) in
-       let rec chunks = function
-         | a :: (b :: _ as rest) -> String.sub s a (b - a) :: chunks rest
-         | _ -> []
-       in
-       let ctx =
-         List.fold_left Sha256.update (Sha256.init ()) (chunks cuts)
-       in
-       Sha256.finalize ctx = Sha256.digest s)
+    (fun (s, cuts) -> stream (chunks_of s cuts) = Sha256.digest s)
 
 let prop_distinct_messages_distinct_macs =
   QCheck.Test.make ~name:"mac respects message identity" ~count:200
@@ -158,6 +173,77 @@ let prop_distinct_messages_distinct_macs =
     (fun (a, b) ->
        if a = b then Hmac.mac ~key:"k" a = Hmac.mac ~key:"k" b
        else Hmac.mac ~key:"k" a <> Hmac.mac ~key:"k" b)
+
+
+(* ------------------------------------------------------------- *)
+(* The C kernel against the OCaml reference.                       *)
+
+let test_exported_tables () =
+  Alcotest.(check (array int32)) "round constants = reference K"
+    (Array.map Int32.of_int Ref.k) Sha256.round_constants;
+  Alcotest.(check (array int32)) "initial state = reference H0"
+    (Array.map Int32.of_int Ref.initial_h) Sha256.initial_state
+
+let test_kernel_boundaries () =
+  (* a multi-block update that starts from a partially filled buffer
+     takes the blit-then-bulk path; every split of every length around
+     the padding and block edges must match the reference *)
+  let lengths = [ 55; 56; 63; 64; 119; 120; 128 ] in
+  let prefixes = [ 0; 1; 7; 55; 56; 63 ] in
+  List.iter
+    (fun len ->
+       let msg = String.init len (fun i -> Char.chr ((i * 131 + len) land 0xFF)) in
+       check_str (Printf.sprintf "one-shot %d" len)
+         (Sha256.hex (Ref.digest msg)) (Sha256.hex (Sha256.digest msg));
+       List.iter
+         (fun pre ->
+            let whole = msg ^ String.make (3 * 64) 'x' in
+            let a = String.sub whole 0 pre
+            and b = String.sub whole pre (String.length whole - pre) in
+            check_str (Printf.sprintf "len %d after %d-byte prefix" len pre)
+              (Sha256.hex (Ref.digest whole)) (Sha256.hex (stream [ a; b ])))
+         prefixes)
+    lengths
+
+let prop_kernel_equals_reference =
+  QCheck.Test.make ~name:"C kernel = OCaml reference, random splits" ~count:500
+    QCheck.(pair (string_of_size (QCheck.Gen.int_range 0 700))
+              (list_of_size (QCheck.Gen.int_range 0 10) (int_range 0 700)))
+    (fun (s, cuts) -> stream (chunks_of s cuts) = Ref.digest s)
+
+let prop_copy_fork_equals_reference =
+  (* fork mid-stream (possibly mid-block) and let the branches diverge *)
+  QCheck.Test.make ~name:"copy fork mid-stream = reference" ~count:300
+    QCheck.(triple (string_of_size (QCheck.Gen.int_range 0 300))
+              (string_of_size (QCheck.Gen.int_range 0 300))
+              (string_of_size (QCheck.Gen.int_range 0 300)))
+    (fun (prefix, left, right) ->
+       let base = Sha256.update (Sha256.init ()) prefix in
+       let fork = Sha256.copy base in
+       let l = Sha256.finalize (Sha256.update base left) in
+       let r = Sha256.finalize (Sha256.update fork right) in
+       l = Ref.digest (prefix ^ left) && r = Ref.digest (prefix ^ right))
+
+let test_domains_concurrent () =
+  (* the kernel keeps its schedule on the C stack and touches only the
+     context it is handed: 4 domains hashing (and MACing under one
+     shared key state) at once must all get the reference answers *)
+  let msgs = List.init 64 (fun i -> String.init (i * 37) (fun j -> Char.chr ((i + j) land 0xFF))) in
+  let expected = List.map Ref.digest msgs in
+  let ks = Hmac.key_state ~key:"shared device key" in
+  let expected_macs = List.map (fun m -> Hmac.mac ~key:"shared device key" m) msgs in
+  let work () =
+    let ok = ref true in
+    for _ = 1 to 50 do
+      ok := !ok && List.map Sha256.digest msgs = expected
+            && List.map (Hmac.mac_with ks) msgs = expected_macs
+    done;
+    !ok
+  in
+  let ds = List.init 4 (fun _ -> Domain.spawn work) in
+  List.iteri
+    (fun i d -> Alcotest.(check bool) (Printf.sprintf "domain %d" i) true (Domain.join d))
+    ds
 
 let suites =
   [ ("crypto",
@@ -168,7 +254,12 @@ let suites =
        Alcotest.test_case "mac_parts" `Quick test_mac_parts;
        Alcotest.test_case "ctx copy independence" `Quick test_copy_independence;
        Alcotest.test_case "precomputed key state" `Quick test_key_state;
-       Alcotest.test_case "verify" `Quick test_verify ]
+       Alcotest.test_case "verify" `Quick test_verify;
+       Alcotest.test_case "equal is length-exact" `Quick test_equal;
+       Alcotest.test_case "exported tables = reference" `Quick test_exported_tables;
+       Alcotest.test_case "kernel at block edges = reference" `Quick test_kernel_boundaries;
+       Alcotest.test_case "4 domains hash concurrently" `Quick test_domains_concurrent ]
      @ List.map QCheck_alcotest.to_alcotest
          [ prop_incremental_equals_oneshot; prop_partition_equals_oneshot;
-           prop_distinct_messages_distinct_macs ]) ]
+           prop_distinct_messages_distinct_macs; prop_kernel_equals_reference;
+           prop_copy_fork_equals_reference ]) ]

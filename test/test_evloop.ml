@@ -119,6 +119,62 @@ let test_cross_thread_post backend () =
       Thread.join poster;
       check_bool "posted thunk ran on the loop" true !landed)
 
+(* Several domains post into a loop with no timers armed, so only
+   their wakes can get the thunks run. A wake that lands while the loop
+   is draining its self-pipe must not be lost: every thunk runs within
+   the bound. A watchdog thread kicks the loop through a watched pipe
+   of the test's own when the bound passes, so a lost wakeup fails the
+   test instead of hanging it. *)
+let test_concurrent_posts backend () =
+  with_loop backend (fun loop ->
+      let posters = 3 and per_poster = 20_000 and bound_s = 10.0 in
+      let total = posters * per_poster in
+      let ran = Atomic.make 0 and expired = Atomic.make false in
+      let kick_r, kick_w = Unix.pipe ~cloexec:true () in
+      Unix.set_nonblock kick_r;
+      Fun.protect
+        ~finally:(fun () ->
+          N.Evloop.unwatch loop kick_r;
+          Unix.close kick_r;
+          Unix.close kick_w)
+        (fun () ->
+           let buf = Bytes.create 8 in
+           N.Evloop.watch loop kick_r
+             ~read:
+               (Some
+                  (fun () ->
+                    try ignore (Unix.read kick_r buf 0 8 : int)
+                    with Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()))
+             ~write:None;
+           let finished () = Atomic.get ran = total in
+           let watchdog =
+             Thread.create
+               (fun () ->
+                  let t0 = Unix.gettimeofday () in
+                  while not (finished () || Unix.gettimeofday () -. t0 > bound_s) do
+                    Thread.delay 0.01
+                  done;
+                  if not (finished ()) then begin
+                    Atomic.set expired true;
+                    ignore (Unix.write_substring kick_w "k" 0 1 : int)
+                  end)
+               ()
+           in
+           let poster () =
+             for i = 1 to per_poster do
+               N.Evloop.post loop (fun () -> Atomic.incr ran);
+               (* vary the gap so posts land at every point of a drain *)
+               for _ = 1 to i land 63 do Domain.cpu_relax () done
+             done
+           in
+           let ds = List.init posters (fun _ -> Domain.spawn poster) in
+           N.Evloop.run loop ~stop:(fun () -> finished () || Atomic.get expired);
+           List.iter Domain.join ds;
+           Thread.join watchdog;
+           if not (finished ()) then
+             Alcotest.failf "%d of %d posted thunks never ran within %.0fs"
+               (total - Atomic.get ran) total bound_s))
+
 (* ------------------------------------------------------------- *)
 (* Fd watches.                                                     *)
 
@@ -204,6 +260,7 @@ let suites =
             t "cancelled timers never fire" test_timer_cancel;
             t "hook source coalesces bursts" test_hook_source_dedup;
             t "cross-thread post wakes a blocked loop" test_cross_thread_post;
+            t "posts from several domains are never lost" test_concurrent_posts;
             t "fd read watch" test_fd_watch;
             t "fd write interest" test_write_interest ])
        backends

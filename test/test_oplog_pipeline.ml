@@ -150,6 +150,12 @@ let test_pipeline_rejects_or_collision () =
   | exception C.Pipeline.Error _ -> ()
   | _ -> Alcotest.fail "data/OR collision accepted"
 
+let test_pipeline_rejects_caller_collision () =
+  (* an operation too large for ER would run into the caller shim *)
+  match build ~variant:C.Pipeline.Unmodified "op:\n    .space 6200\n    ret\n" with
+  | exception C.Pipeline.Error _ -> ()
+  | _ -> Alcotest.fail "ER/caller collision accepted"
+
 let test_pipeline_rejects_static_store_to_or () =
   match build "op:\n    mov r15, &0x0480\n    ret\n" with
   | exception C.Pipeline.Error _ -> ()
@@ -257,6 +263,7 @@ let suites =
        Alcotest.test_case "pipeline: op exit" `Quick test_pipeline_provides_op_exit;
        Alcotest.test_case "pipeline: er_exit" `Quick test_pipeline_er_exit_is_last_ret;
        Alcotest.test_case "pipeline: OR collision" `Quick test_pipeline_rejects_or_collision;
+       Alcotest.test_case "pipeline: caller collision" `Quick test_pipeline_rejects_caller_collision;
        Alcotest.test_case "pipeline: store to OR" `Quick test_pipeline_rejects_static_store_to_or;
        Alcotest.test_case "pipeline: variants" `Quick test_pipeline_variants_share_layout_defaults;
        Alcotest.test_case "pipeline: expected ER" `Quick test_pipeline_expected_er_matches_memory;
